@@ -21,8 +21,10 @@ The formula evaluator has three interchangeable inner representations for
 The active kernel is chosen by the ``REPRO_EVAL_KERNEL`` environment
 variable (normalized: surrounding whitespace and case are ignored; empty
 means default) or, with precedence, by the :func:`use_kernel` context
-manager, which tests use to pin a kernel without touching the process
-environment.  Environment values are validated once per distinct raw
+manager, which tests and per-request serve pins use without touching
+the process environment.  The override stack is per thread (and per
+asyncio task): a pin on one serve worker thread never changes the kernel
+another thread sees.  Environment values are validated once per distinct raw
 string (not re-parsed on every :func:`active_kernel` call), and
 configuration errors carry the full provenance of the selection — the
 ``use_kernel`` override stack plus the environment value — so a bad name
@@ -41,6 +43,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import obs
@@ -87,7 +90,11 @@ def resolve_selection(requested: str, points: int) -> str:
     return requested
 
 
-_override_stack: List[str] = []
+#: The :func:`use_kernel` override stack, outermost first.  A context
+#: variable, so each thread starts from an empty stack.
+_override_stack: ContextVar[Tuple[str, ...]] = ContextVar(
+    "kernel_override_stack", default=()
+)
 
 #: Memoized environment parse: raw string -> validated kernel name.  The
 #: environment is still *read* on every uncached :func:`active_kernel`
@@ -105,8 +112,9 @@ def selection_provenance() -> str:
     :class:`~repro.errors.ConfigurationError` this module raises.
     """
     parts: List[str] = []
-    if _override_stack:
-        chain = " > ".join(f"use_kernel({name!r})" for name in _override_stack)
+    stack = _override_stack.get()
+    if stack:
+        chain = " > ".join(f"use_kernel({name!r})" for name in stack)
         parts.append(f"override stack (outermost first): {chain}")
     raw = os.environ.get(KERNEL_ENV)
     if raw is None:
@@ -135,8 +143,9 @@ def active_kernel() -> str:
     value is validated once and memoized.
     """
     global _env_cache
-    if _override_stack:
-        return _override_stack[-1]
+    stack = _override_stack.get()
+    if stack:
+        return stack[-1]
     raw = os.environ.get(KERNEL_ENV)
     if raw is None:
         return DEFAULT_KERNEL
@@ -160,11 +169,11 @@ def use_kernel(name: str) -> Iterator[str]:
     attributable.
     """
     name = _check_kernel(name.strip().lower(), "use_kernel() argument")
-    _override_stack.append(name)
+    token = _override_stack.set(_override_stack.get() + (name,))
     try:
         yield name
     finally:
-        _override_stack.pop()
+        _override_stack.reset(token)
 
 
 # -- selection observability --------------------------------------------------

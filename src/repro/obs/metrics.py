@@ -26,9 +26,11 @@ Design constraints:
   pipes, the telemetry journal and checkpointed batch results.
 
 Exports: :func:`summarize` estimates p50/p90/p99 (and the mean) from the
-bucket counts; :func:`prometheus_text` renders a full instrumentation
-snapshot — counters, timers, gauges and histograms — in the Prometheus
-text exposition format (``repro-eba metrics``).
+bucket counts, clamped to the observed ``min``/``max`` so an estimate
+never leaves the range of the data; :func:`prometheus_text` renders a
+full instrumentation snapshot — counters, timers, gauges and
+histograms — in the Prometheus text exposition format
+(``repro-eba metrics``).
 """
 
 from __future__ import annotations
@@ -88,25 +90,37 @@ class Histogram:
     :class:`repro.obs.Instrumentation` serializes access.
     """
 
-    __slots__ = ("count", "total", "buckets")
+    __slots__ = ("count", "total", "buckets", "min", "max")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         #: Sparse ``{bucket_index: count}``.
         self.buckets: Dict[int, int] = {}
+        #: Smallest / largest observed value (``None`` while empty).
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
+        self._extend(value, value)
+
+    def _extend(self, low: Optional[float], high: Optional[float]) -> None:
+        if low is not None and (self.min is None or low < self.min):
+            self.min = float(low)
+        if high is not None and (self.max is None or high > self.max):
+            self.max = float(high)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready form: string bucket keys, stable field names."""
         return {
             "count": self.count,
             "sum": round(self.total, 9),
+            "min": self.min,
+            "max": self.max,
             "buckets": {
                 str(index): count
                 for index, count in sorted(self.buckets.items())
@@ -120,12 +134,19 @@ class Histogram:
             self.buckets[index] = self.buckets.get(index, 0) + int(count)
         self.count += int(delta.get("count", 0))
         self.total += float(delta.get("sum", 0.0))
+        if delta.get("count"):
+            self._extend(delta.get("min"), delta.get("max"))
 
 
 def histogram_delta(
     current: Dict[str, Any], before: Optional[Dict[str, Any]]
 ) -> Optional[Dict[str, Any]]:
-    """Per-bucket difference of two snapshots (``None`` if nothing new)."""
+    """Per-bucket difference of two snapshots (``None`` if nothing new).
+
+    The delta carries *current*'s ``min``/``max``: the observations it
+    counts lie within them (exactly at them whenever the extreme moved
+    since *before*).
+    """
     if before is None:
         return current if current.get("count") else None
     count = int(current.get("count", 0)) - int(before.get("count", 0))
@@ -142,6 +163,8 @@ def histogram_delta(
         "sum": round(
             float(current.get("sum", 0.0)) - float(before.get("sum", 0.0)), 9
         ),
+        "min": current.get("min"),
+        "max": current.get("max"),
         "buckets": buckets,
     }
 
@@ -151,10 +174,22 @@ def quantile(snapshot: Dict[str, Any], q: float) -> float:
 
     Linear interpolation inside the bucket the quantile falls into; the
     overflow bucket reports its lower bound (the estimate is then a floor).
+    The estimate is clamped to the snapshot's ``min``/``max`` when it
+    carries them, so it never leaves the observed range.
     """
     count = int(snapshot.get("count", 0))
     if count <= 0:
         return 0.0
+    estimate = _bucket_quantile(snapshot, q, count)
+    low, high = snapshot.get("min"), snapshot.get("max")
+    if high is not None:
+        estimate = min(estimate, float(high))
+    if low is not None:
+        estimate = max(estimate, float(low))
+    return estimate
+
+
+def _bucket_quantile(snapshot: Dict[str, Any], q: float, count: int) -> float:
     target = q * count
     seen = 0
     for key in sorted(

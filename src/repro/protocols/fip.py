@@ -289,9 +289,9 @@ def pair_from_formulas(
         for processor in range(system.n):
             truth = factory(processor).evaluate(system)
             if isinstance(truth, ChunkedAssignment) and require_state_determined:
-                # Same subset test as the bitset branch, one sparse
+                # Same subset test as the bitset branch, one vectorized
                 # popcount-free pass per state group over the limb-sliced
-                # entry table (vectorized under the numpy backend).
+                # entry table.
                 index = system.chunked_index()
                 views, full_ids, mixed_ids = index.state_verdicts(
                     processor, truth.limbs

@@ -139,7 +139,6 @@ def _execute_eval(
     params: Dict[str, Any],
 ) -> Dict[str, Any]:
     """The eval body shared verbatim by the inline and forked paths."""
-    from ..knowledge.planner import evaluate_formulas, planner_active
     from ..model.kernels import use_kernel
 
     mode, n, t, horizon, build, description = _resolve_eval_request(params)
@@ -149,15 +148,7 @@ def _execute_eval(
     kernel = params.get("kernel")
     with use_kernel(kernel) if kernel else _null_context():
         formula = build(system)
-        if planner_active():
-            # Same REPRO_EVAL_PLANNER activation as `repro-eba run`:
-            # daemon-inline, forked, and the CLI's --local fallback all
-            # pass through here, so all three answer with the same plan
-            # (including the limb-block component seeding for run-level
-            # C□ portfolios).
-            truth = evaluate_formulas(system, [formula])[0]
-        else:
-            truth = formula.evaluate(system)
+        truth = formula.evaluate(system)
         selected = system.effective_kernel()
     point = _point(params)
     result: Dict[str, Any] = {

@@ -15,6 +15,7 @@ kernels switch mid-process.
 
 import random
 import re
+import threading
 
 import pytest
 
@@ -41,11 +42,7 @@ from repro.knowledge import (
 )
 from repro.knowledge.explain import EXPLAIN_CATALOG, catalog_system
 from repro.model import kernels
-from repro.model.chunked import (
-    ChunkedAssignment,
-    backend_name,
-    force_python_backend,
-)
+from repro.model.chunked import ChunkedAssignment
 from repro.model.system import BitsetAssignment, TruthAssignment
 
 PACKED_TYPES = {
@@ -131,6 +128,31 @@ class TestKernelSelection:
         assert f"default {kernels.DEFAULT_KERNEL!r}" in provenance
         assert f"{kernels.KERNEL_ENV} unset" in provenance
         assert "use_kernel" not in provenance
+
+    def test_use_kernel_pin_stays_in_its_thread(self, monkeypatch):
+        """A pin held by one thread (one served request) is invisible to
+        another thread, which keeps the unpinned selection."""
+        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
+        pinned = threading.Event()
+        release = threading.Event()
+        seen_in_pin = []
+
+        def hold_pin():
+            with kernels.use_kernel("chunked"):
+                seen_in_pin.append(kernels.active_kernel())
+                pinned.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_pin)
+        holder.start()
+        try:
+            assert pinned.wait(timeout=30)
+            assert kernels.active_kernel() == kernels.DEFAULT_KERNEL
+            assert "use_kernel" not in kernels.selection_provenance()
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert seen_in_pin == [kernels.CHUNKED]
 
     def test_factories_build_the_selected_representation(self, crash3):
         with kernels.use_kernel("bitset"):
@@ -340,44 +362,6 @@ class TestPackedAlgebra:
         assert chunked == bitset
 
 
-class TestChunkedBackends:
-    """The numpy and pure-Python limb backends are interchangeable."""
-
-    def test_python_backend_matches_active(self, crash3):
-        rng = random.Random(11)
-        rows_a = _rows(crash3, rng)
-        rows_b = _rows(crash3, rng)
-        with kernels.use_kernel("chunked"):
-            active_a = TruthAssignment.from_rows(crash3, rows_a)
-            with force_python_backend():
-                assert backend_name() == "python"
-                py_a = TruthAssignment.from_rows(crash3, rows_a)
-                py_b = TruthAssignment.from_rows(crash3, rows_b)
-                assert isinstance(py_a.limbs, list)
-                assert (
-                    py_a.conjoin(py_b).to_rows()
-                    == active_a.conjoin(py_b).to_rows()
-                )
-                assert py_a.negate().to_rows() == active_a.negate().to_rows()
-                assert py_a.count_true() == active_a.count_true()
-                assert py_a == active_a
-
-    def test_python_backend_full_evaluation(self):
-        """A fixpoint formula end-to-end on a freshly built python-backed
-        system matches the reference kernel."""
-        from repro.model import ExhaustiveCrashAdversary, build_system
-
-        formula = ContinualCommon(NONFAULTY, Exists(1), force_fixpoint=True)
-        with force_python_backend():
-            system = build_system(ExhaustiveCrashAdversary(3, 1, 2))
-            with kernels.use_kernel("chunked"):
-                chunked = formula.evaluate(system)
-                assert isinstance(chunked, ChunkedAssignment)
-            with kernels.use_kernel("reference"):
-                reference = formula.evaluate(system)
-        assert chunked.to_rows() == reference.to_rows()
-
-
 def _random_formula(rng, n, depth=2):
     """A random knowledge/temporal formula tree over small atoms."""
     atoms = [
@@ -432,207 +416,6 @@ class TestRandomizedDifferential:
         _differential(omission3, _random_formula(rng, omission3.n))
 
 
-class TestPlannerDifferential:
-    """The fused :class:`EvalPlan` vs formula-at-a-time evaluation.
-
-    Randomized formula portfolios, all three kernels: routing a portfolio
-    through the planner (shared subterms, batched sweeps, lockstep
-    fixpoints on the matrix backend) must leave every formula with
-    exactly the rows the solo ``evaluate`` path produces.
-    """
-
-    @pytest.mark.parametrize("kernel", ["reference", "bitset", "chunked"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_randomized_portfolio_crash(self, crash3, kernel, seed):
-        self._check(crash3, kernel, random.Random(7000 + seed))
-
-    @pytest.mark.parametrize("kernel", ["reference", "bitset", "chunked"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_randomized_portfolio_omission(self, omission3, kernel, seed):
-        self._check(omission3, kernel, random.Random(8000 + seed))
-
-    @staticmethod
-    def _check(system, kernel, rng):
-        from repro.knowledge.planner import evaluate_formulas
-
-        formulas = [_random_formula(rng, system.n) for _ in range(4)]
-        with kernels.use_kernel(kernel):
-            system.clear_caches()
-            solo = [formula.evaluate(system) for formula in formulas]
-            system.clear_caches()
-            fused = evaluate_formulas(system, formulas)
-        for formula, lone, planned in zip(formulas, solo, fused):
-            assert planned.to_rows() == lone.to_rows(), repr(formula)
-
-
-class TestBlockComponentSeeding:
-    """``planner.seed_block_components``: limb-block Corollary 3.3 labels.
-
-    The seeded labelling must be partition-identical to the monolithic
-    same-state scan (label *values* may differ — both sides pick
-    arbitrary representatives — so the comparison canonicalizes to the
-    induced partition, with the ``-1`` no-occurrence sentinel matched
-    run-for-run), only canonical provider cells are eligible, and a
-    present cache entry makes the hook a no-op.
-    """
-
-    @staticmethod
-    def _partition(labels):
-        groups = {}
-        unlabelled = set()
-        for run, label in enumerate(labels):
-            if label == -1:
-                unlabelled.add(run)
-            else:
-                groups.setdefault(label, set()).add(run)
-        return set(map(frozenset, groups.values())), unlabelled
-
-    @pytest.mark.parametrize("builder", ["crash", "omission"])
-    def test_nonfaulty_partition_identical_to_monolithic(self, builder):
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
-        from repro.knowledge.semantics import _compute_components
-        from repro.model.builder import crash_system, omission_system
-
-        system = (crash_system if builder == "crash" else omission_system)(
-            3, 1, 3
-        )
-        system.clear_caches()
-        assert seed_block_components(system, NONFAULTY)
-        seeded = system._components_cache[NONFAULTY.cache_key()]
-        monolithic = _compute_components(system, NONFAULTY)
-        assert self._partition(seeded) == self._partition(monolithic)
-
-    def test_nonfaulty_and_deciding_partition_identical(self):
-        from repro.core.construction import two_step_optimization
-        from repro.core.decision_sets import empty_pair
-        from repro.knowledge.nonrigid import nonfaulty_and_zeros
-        from repro.knowledge.planner import seed_block_components
-        from repro.knowledge.semantics import _compute_components
-        from repro.model.builder import crash_system
-
-        system = crash_system(3, 1, 3)
-        pair = two_step_optimization(system, empty_pair())[0]
-        nonrigid = nonfaulty_and_zeros(pair)
-        system._components_cache.pop(nonrigid.cache_key(), None)
-        assert seed_block_components(system, nonrigid)
-        seeded = system._components_cache[nonrigid.cache_key()]
-        monolithic = _compute_components(system, nonrigid)
-        assert self._partition(seeded) == self._partition(monolithic)
-
-    def test_restricted_system_is_ineligible(self):
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
-        from repro.model.adversary import ExplicitAdversary
-        from repro.model.failures import (
-            FailureMode,
-            FailurePattern,
-            OmissionBehavior,
-        )
-        from repro.model.system import build_system
-
-        # Same mode/n/t/horizon stamp as a canonical cell, but a subset
-        # of its runs: seeding it from the provider's arrays would be
-        # wrong, so the peek-identity gate must reject it.
-        pattern = FailurePattern({0: OmissionBehavior({1: [1]})})
-        system = build_system(
-            ExplicitAdversary(3, 1, 2, [pattern], mode=FailureMode.OMISSION)
-        )
-        assert not seed_block_components(system, NONFAULTY)
-        assert NONFAULTY.cache_key() not in system._components_cache
-
-    def test_present_cache_entry_makes_hook_a_noop(self):
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
-        from repro.model.builder import crash_system
-
-        system = crash_system(3, 1, 3)
-        system.clear_caches()
-        assert seed_block_components(system, NONFAULTY)
-        assert not seed_block_components(system, NONFAULTY)
-
-    def test_continual_common_agrees_with_unseeded_evaluation(self):
-        from repro.knowledge.formulas import ContinualCommon, Exists
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
-        from repro.model.builder import omission_system
-
-        system = omission_system(3, 1, 3)
-        formula = ContinualCommon(NONFAULTY, Exists(1))
-        system.clear_caches()
-        unseeded = formula.evaluate(system).to_rows()
-        system.clear_caches()
-        assert seed_block_components(system, NONFAULTY)
-        assert formula.evaluate(system).to_rows() == unseeded
-
-
-class TestNativeBackendParity:
-    """``REPRO_CHUNKED_BACKEND=native``: identical rows, silent fallback."""
-
-    @staticmethod
-    def _formulas():
-        from repro.knowledge.formulas import (
-            Common,
-            ContinualCommon,
-            EventualCommon,
-            Exists,
-        )
-        from repro.knowledge.nonrigid import NONFAULTY
-
-        continual = ContinualCommon(NONFAULTY, Exists(1))
-        continual.force_fixpoint = True
-        return [
-            Common(NONFAULTY, Exists(1)),
-            EventualCommon(NONFAULTY, Exists(0)),
-            continual,
-        ]
-
-    def test_fixpoints_match_numpy_backend(self, omission3, monkeypatch):
-        from repro.model import native
-
-        if not native.available():
-            pytest.skip("native backend unavailable (no C compiler)")
-        with kernels.use_kernel("chunked"):
-            monkeypatch.delenv("REPRO_CHUNKED_BACKEND", raising=False)
-            omission3.clear_caches()
-            baseline = [
-                formula.evaluate(omission3).to_rows()
-                for formula in self._formulas()
-            ]
-            monkeypatch.setenv("REPRO_CHUNKED_BACKEND", "native")
-            omission3.clear_caches()
-            native_rows = [
-                formula.evaluate(omission3).to_rows()
-                for formula in self._formulas()
-            ]
-        omission3.clear_caches()
-        assert native_rows == baseline
-
-    def test_request_degrades_silently_without_library(
-        self, crash3, monkeypatch
-    ):
-        from repro.model import native
-
-        monkeypatch.delenv("REPRO_CHUNKED_BACKEND", raising=False)
-        with kernels.use_kernel("chunked"):
-            crash3.clear_caches()
-            baseline = [
-                formula.evaluate(crash3).to_rows()
-                for formula in self._formulas()
-            ]
-            # Simulate "no compiler": the memoized load failed.
-            monkeypatch.setattr(native, "_attempted", True)
-            monkeypatch.setattr(native, "_loaded", None)
-            monkeypatch.setenv("REPRO_CHUNKED_BACKEND", "native")
-            crash3.clear_caches()
-            degraded = [
-                formula.evaluate(crash3).to_rows()
-                for formula in self._formulas()
-            ]
-        crash3.clear_caches()
-        assert degraded == baseline
-
-
 class TestShardedDifferential:
     """Limb-block-sharded batches vs the monolithic path (E9/E14/E20).
 
@@ -680,6 +463,56 @@ class TestShardedDifferential:
             if key in self.NONPARITY_KEYS:
                 continue
             assert sharded.data[key] == mono.data[key], key
+
+    @staticmethod
+    def _partition(labels):
+        """The run partition a labelling induces, plus its ``-1`` runs."""
+        groups = {}
+        for run, label in enumerate(labels):
+            groups.setdefault(int(label), set()).add(run)
+        unlabelled = groups.pop(-1, set())
+        return set(map(frozenset, groups.values())), unlabelled
+
+    @pytest.mark.parametrize("nonrigid_name", ["N", "N-and-Z"])
+    @pytest.mark.parametrize("mode", ["crash", "omission"])
+    def test_block_components_match_monolithic(self, mode, nonrigid_name):
+        """Limb-block ``component_labels`` welded by
+        ``merge_component_labels`` induce the monolithic Corollary 3.3
+        partition (label values may differ; the partition may not)."""
+        from repro.core.construction import two_step_optimization
+        from repro.core.decision_sets import empty_pair
+        from repro.knowledge.nonrigid import NONFAULTY, nonfaulty_and_zeros
+        from repro.knowledge.semantics import _compute_components
+        from repro.model.builder import crash_system, omission_system
+        from repro.model.partition import (
+            LimbBlockPartition,
+            SystemArrays,
+            merge_component_labels,
+        )
+
+        system = (crash_system if mode == "crash" else omission_system)(
+            3, 1, 3
+        )
+        if nonrigid_name == "N":
+            nonrigid, states = NONFAULTY, range(len(system.table))
+        else:
+            pair = two_step_optimization(system, empty_pair())[0]
+            nonrigid, states = nonfaulty_and_zeros(pair), pair.zeros
+        partition = LimbBlockPartition.from_arrays(
+            SystemArrays.from_system(system), num_blocks=4
+        )
+        assert len(partition.blocks) > 1
+        nf_limbs = [partition.nonfaulty_limbs(p) for p in range(system.n)]
+        flags = partition.state_flags(states)
+        welded = merge_component_labels(
+            partition.num_runs,
+            [
+                partition.component_labels(desc["block"], flags, nf_limbs)
+                for desc in partition.block_descriptors()
+            ],
+        )
+        monolithic = _compute_components(system, nonrigid)
+        assert self._partition(welded) == self._partition(monolithic)
 
 
 class TestExplainCatalogDifferential:

@@ -120,6 +120,39 @@ class TestHistograms:
         assert 30 <= digest["p50"] <= 70
         assert digest["p90"] <= digest["p99"]
 
+    def test_single_observation_quantiles_equal_it(self):
+        from repro.obs.metrics import summarize
+
+        inst = obs.Instrumentation()
+        inst.observe("build", 37.8)
+        digest = summarize(inst.snapshot()["histograms"]["build"])
+        assert digest["p50"] == 37.8
+        assert digest["p99"] == 37.8
+
+    def test_merged_quantiles_stay_within_observed_range(self):
+        from repro.obs.metrics import quantile
+
+        supervisor = obs.Instrumentation()
+        worker_a, worker_b = obs.Instrumentation(), obs.Instrumentation()
+        for value in (3.0, 5.0):
+            worker_a.observe("latency", value)
+        for value in (5.5, 6.0):
+            worker_b.observe("latency", value)
+        supervisor.merge_delta(worker_a.snapshot())
+        supervisor.merge_delta(worker_b.delta_since({}))
+        merged = supervisor.snapshot()["histograms"]["latency"]
+        assert (merged["min"], merged["max"]) == (3.0, 6.0)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            assert 3.0 <= quantile(merged, q) <= 6.0
+
+    def test_delta_since_keeps_min_and_max(self):
+        inst = obs.Instrumentation()
+        inst.observe("latency", 1.0)
+        before = inst.snapshot()
+        inst.observe("latency", 9.0)
+        delta = inst.delta_since(before)["histograms"]["latency"]
+        assert (delta["min"], delta["max"]) == (1.0, 9.0)
+
     def test_disabled_records_nothing(self):
         inst = obs.Instrumentation()
         inst.enabled = False
